@@ -4,9 +4,15 @@
 //! `survdb::json`; this module mirrors its rendering rules (two-space
 //! pretty printing, keys in push order, the one float rule: finite
 //! integral values keep a `.1` decimal, everything else prints Rust's
-//! shortest roundtrip form, non-finite becomes `null`). The parser
-//! exists so the `trace-schema-check` binary can validate
-//! `run_trace.json` without external dependencies.
+//! shortest roundtrip form, non-finite becomes `null`).
+//!
+//! The parsing side is the workspace's one JSON grammar. [`Reader`]
+//! is a forward-only lexer (whitespace, expected bytes, strings,
+//! numbers, end of input) with linear work per input byte; [`parse`]
+//! builds a [`JsonV`] tree on it, nesting at most [`MAX_DEPTH`] levels.
+//! Model files, `/reload` bodies, responses and every schema check go
+//! through [`parse`]; `survd::wire` drives the [`Reader`] directly to
+//! decode `/score` bodies without building a tree.
 
 /// A JSON value with deterministic rendering.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,200 +183,309 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Reader::value`] (and so [`parse`])
+/// accepts. The committed artifacts, goldens and model files nest at
+/// most 7 levels; the limit bounds the parser's recursion, so a hostile
+/// body gets [`JsonError::TooDeep`] instead of overflowing a thread's
+/// stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why JSON text was refused, with the byte offset where reading
+/// stopped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// The text is not JSON.
+    Syntax {
+        /// Byte offset of the offending input.
+        pos: usize,
+        /// What was expected or found there.
+        message: String,
+    },
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the container that crossed the limit.
+        pos: usize,
+    },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::Syntax { pos, message } => write!(f, "{message} at byte {pos}"),
+            JsonError::TooDeep { pos } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {pos}")
+            }
+        }
+    }
+}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> String {
+        e.to_string()
+    }
+}
+
 /// Parses JSON text into a [`JsonV`] tree. Object key order is
 /// preserved. Numbers without `.`/`e` and without a sign parse as
 /// [`JsonV::UInt`]; everything else numeric parses as [`JsonV::Float`].
+/// Nesting is limited to [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<JsonV, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
+    let mut r = Reader::new(text);
+    r.skip_ws();
+    let value = r.value()?;
+    r.end()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A forward-only lexer over JSON text: the one JSON grammar of the
+/// workspace. [`parse`] builds trees with it; a decoder that knows its
+/// document's shape (the `/score` body in `survd::wire`) drives the
+/// same primitives directly, in one pass and without a tree. Every
+/// method reads at the current position and, on success, leaves the
+/// reader just past what it consumed; only [`Reader::skip_ws`],
+/// [`Reader::next_item`] and [`Reader::end`] skip whitespace.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader { text, pos: 0 }
+    }
+
+    /// The byte at the current position, if any.
+    pub fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Skips JSON whitespace.
+    pub fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// Consumes `b` if it is the next byte; reports whether it was.
+    pub fn eat(&mut self, b: u8) -> bool {
+        let found = self.peek() == Some(b);
+        self.pos += usize::from(found);
+        found
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Consumes `b`, or fails if the next byte is anything else.
+    pub fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.eat(b) {
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
+            Err(self.error(format!(
+                "expected '{}', found {:?}",
                 b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
+                self.peek().map(char::from)
+            )))
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonV) -> Result<JsonV, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Ends one item of an array or object: skips whitespace, then
+    /// consumes `,` and the whitespace after it (more items follow:
+    /// `true`) or `close` (the list ends: `false`).
+    pub fn next_item(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        if self.eat(close) {
+            return Ok(false);
+        }
+        if self.eat(b',') {
+            self.skip_ws();
+            return Ok(true);
+        }
+        Err(self.error(format!(
+            "expected ',' or '{}', found {:?}",
+            close as char,
+            self.peek().map(char::from)
+        )))
+    }
+
+    /// Skips trailing whitespace and fails unless the input ends there.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.error("trailing data"))
+        }
+    }
+
+    fn error(&self, message: impl Into<String>) -> JsonError {
+        JsonError::Syntax {
+            pos: self.pos,
+            message: message.into(),
+        }
+    }
+
+    /// Reads a string literal. Borrows from the input unless the
+    /// literal holds escapes; O(1) work per input byte either way.
+    pub fn string(&mut self) -> Result<std::borrow::Cow<'a, str>, JsonError> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.skip_plain();
+        if self.eat(b'"') {
+            return Ok(std::borrow::Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
+        loop {
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(std::borrow::Cow::Owned(out));
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    self.escape(&mut out)?;
+                }
+                Some(_) => {
+                    let run = self.pos;
+                    self.skip_plain();
+                    out.push_str(&self.text[run..self.pos]);
+                }
+            }
+        }
+    }
+
+    /// Advances over string bytes that need no decoding. UTF-8
+    /// continuation and lead bytes are never `"` or `\`, so the run
+    /// ends on a character boundary of the (already valid) input.
+    fn skip_plain(&mut self) {
+        while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Decodes the escape after a backslash into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = self
+                    .text
+                    .as_bytes()
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| self.error("truncated \\u escape"))?;
+                let code = std::str::from_utf8(hex)
+                    .ok()
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .ok_or_else(|| self.error("bad \\u escape"))?;
+                out.push(char::from_u32(code).ok_or_else(|| self.error("surrogate \\u escape"))?);
+                self.pos += 4;
+            }
+            other => return Err(self.error(format!("bad escape {:?}", other.map(char::from)))),
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Reads a number: [`JsonV::UInt`] when the literal has no `.`,
+    /// `e`, `E` or `-`, else [`JsonV::Float`]. The literal is the
+    /// longest run of digits and `.eE+-` from a leading `-` or digit;
+    /// what it means is decided by Rust's `u64`/`f64` parsers.
+    pub fn number(&mut self) -> Result<JsonV, JsonError> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.error(format!("unexpected {:?}", self.peek().map(char::from))));
+        }
+        let start = self.pos;
+        let mut float = false;
+        while let Some(c) = self.peek() {
+            match c {
+                b'0'..=b'9' | b'+' => {}
+                b'.' | b'e' | b'E' | b'-' => float = true,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        let parsed = if float {
+            text.parse::<f64>()
+                .map(JsonV::Float)
+                .map_err(|e| format!("bad number {text}: {e}"))
+        } else {
+            text.parse::<u64>()
+                .map(JsonV::UInt)
+                .map_err(|e| format!("bad integer {text}: {e}"))
+        };
+        parsed.map_err(|message| JsonError::Syntax {
+            pos: start,
+            message,
+        })
+    }
+
+    /// Reads one complete value into a tree, nesting at most
+    /// [`MAX_DEPTH`] levels below the current position.
+    pub fn value(&mut self) -> Result<JsonV, JsonError> {
+        self.nested(0)
+    }
+
+    fn literal(&mut self, word: &str, value: JsonV) -> Result<JsonV, JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(self.error("invalid literal"))
         }
     }
 
-    fn value(&mut self) -> Result<JsonV, String> {
+    fn nested(&mut self, depth: usize) -> Result<JsonV, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", JsonV::Null),
             Some(b't') => self.literal("true", JsonV::Bool(true)),
             Some(b'f') => self.literal("false", JsonV::Bool(false)),
-            Some(b'"') => Ok(JsonV::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
+            Some(b'"') => Ok(JsonV::Str(self.string()?.into_owned())),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(JsonError::TooDeep { pos: self.pos }),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
+            _ => self.number(),
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "surrogate \\u escape".to_string())?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonV, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        if !text.contains(['.', 'e', 'E', '-']) {
-            text.parse::<u64>()
-                .map(JsonV::UInt)
-                .map_err(|e| format!("bad integer {text}: {e}"))
-        } else {
-            text.parse::<f64>()
-                .map(JsonV::Float)
-                .map_err(|e| format!("bad number {text}: {e}"))
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonV, String> {
+    fn array(&mut self, depth: usize) -> Result<JsonV, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
+        if self.eat(b']') {
             return Ok(JsonV::Arr(items));
         }
         loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonV::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
+            items.push(self.nested(depth)?);
+            if !self.next_item(b']')? {
+                return Ok(JsonV::Arr(items));
             }
         }
     }
 
-    fn object(&mut self) -> Result<JsonV, String> {
+    fn object(&mut self, depth: usize) -> Result<JsonV, JsonError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
+        if self.eat(b'}') {
             return Ok(JsonV::Obj(fields));
         }
         loop {
-            self.skip_ws();
-            let key = self.string()?;
+            let key = self.string()?.into_owned();
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.nested(depth)?;
             fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonV::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
+            if !self.next_item(b'}')? {
+                return Ok(JsonV::Obj(fields));
             }
         }
     }
@@ -437,6 +552,97 @@ mod tests {
         assert_eq!(parse("42.0").unwrap(), JsonV::Float(42.0));
         assert_eq!(parse("-1").unwrap(), JsonV::Float(-1.0));
         assert_eq!(parse("1e3").unwrap(), JsonV::Float(1000.0));
+    }
+
+    #[test]
+    fn numbers_keep_their_uint_float_split() {
+        let num = |text: &str| Reader::new(text).number();
+        assert_eq!(num("0"), Ok(JsonV::UInt(0)));
+        assert_eq!(num("18446744073709551615"), Ok(JsonV::UInt(u64::MAX)));
+        assert!(num("18446744073709551616").is_err());
+        assert_eq!(num("1."), Ok(JsonV::Float(1.0)));
+        assert_eq!(num("1e400"), Ok(JsonV::Float(f64::INFINITY)));
+        assert_eq!(num("5e-324"), Ok(JsonV::Float(5e-324)));
+        let Ok(JsonV::Float(neg_zero)) = num("-0") else {
+            panic!("-0 is a float")
+        };
+        assert_eq!(neg_zero.to_bits(), (-0.0f64).to_bits());
+        for bad in ["-", "+1", ".5", "1+2", "1e", "x"] {
+            assert!(num(bad).is_err(), "{bad}");
+        }
+        // The literal stops at the first byte outside `0-9.eE+-`.
+        let mut r = Reader::new("12]");
+        assert_eq!(r.number(), Ok(JsonV::UInt(12)));
+        assert_eq!(r.peek(), Some(b']'));
+    }
+
+    #[test]
+    fn strings_borrow_plain_text_and_decode_escapes() {
+        let mut r = Reader::new("\"plain é\" \"a\\u00e9\\n\\\"ü\\/\" ");
+        assert!(matches!(
+            r.string(),
+            Ok(std::borrow::Cow::Borrowed("plain é"))
+        ));
+        r.skip_ws();
+        assert_eq!(r.string().unwrap(), "aé\n\"ü/");
+        assert_eq!(r.end(), Ok(()));
+        for bad in ["\"open", "\"\\x\"", "\"\\u12\"", "\"\\ud800\"", "x"] {
+            assert!(Reader::new(bad).string().is_err(), "{bad}");
+        }
+        // Linear: a 4 MiB string (quadratic before) with a multi-byte
+        // tail parses back to itself.
+        let long = format!("{}ß", "x".repeat(4 << 20));
+        assert_eq!(parse(&format!("\"{long}\"")), Ok(JsonV::Str(long)));
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_a_typed_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Reader::new(&nest(MAX_DEPTH + 1)).value(),
+            Err(JsonError::TooDeep { pos: MAX_DEPTH })
+        );
+        // 20,000 levels (a 100 KB body) is refused, not a stack
+        // overflow.
+        let deep = "{\"a\":".repeat(20_000);
+        assert!(matches!(
+            Reader::new(&deep).value(),
+            Err(JsonError::TooDeep { .. })
+        ));
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper than"));
+    }
+
+    #[test]
+    fn repository_documents_nest_well_below_the_limit() {
+        fn depth(v: &JsonV) -> usize {
+            match v {
+                JsonV::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                JsonV::Obj(fields) => 1 + fields.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut paths = vec![root.join("BENCHMARK.json")];
+        for dir in ["artifacts", "tests/golden"] {
+            for entry in std::fs::read_dir(root.join(dir)).expect("directory exists") {
+                let path = entry.expect("entry").path();
+                if path.extension().is_some_and(|e| e == "json") {
+                    paths.push(path);
+                }
+            }
+        }
+        assert!(paths.len() >= 8, "{paths:?}");
+        for path in paths {
+            let text = std::fs::read_to_string(&path).expect("readable");
+            let v = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(
+                depth(&v) <= MAX_DEPTH / 8,
+                "{} nests {}",
+                path.display(),
+                depth(&v)
+            );
+        }
     }
 
     #[test]

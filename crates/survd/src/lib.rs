@@ -96,5 +96,5 @@ pub use retry::{RetryPolicy, Sleeper, ThreadSleeper};
 pub use server::{start, start_with_clock, ServerConfig, ServerHandle, StatsSnapshot};
 pub use wire::{
     parse_score_request, parse_score_response, render_reload_response, render_score_request,
-    render_score_response, RowScore, ScoreRequest, ScoreResponse, RESPONSE_SCHEMA,
+    render_score_response, DecodeError, RowScore, ScoreRequest, ScoreResponse, RESPONSE_SCHEMA,
 };

@@ -676,11 +676,10 @@ fn handle_score(
     };
     let score_request = match parsed {
         Ok(r) => r,
-        Err(message) => {
+        Err(e) => {
             shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let oversized = message.contains("per-request limit");
-            obs::count("survd.http_400", 1);
-            return respond_error(writer, if oversized { 413 } else { 400 }, &message, close);
+            obs::count(refusal_counter(e.status), 1);
+            return respond_error(writer, e.status, &e.message, close);
         }
     };
 

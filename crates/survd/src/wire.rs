@@ -89,56 +89,142 @@ fn number(v: &JsonV, what: &str) -> Result<f64, String> {
     }
 }
 
-/// Parses and validates a `/score` request body against the model's
-/// feature schema. Rejections here become HTTP 400s — downstream
-/// scoring (`Dataset::push`) panics on malformed rows, so nothing
-/// invalid may pass.
+/// Why a `/score` body was refused, and the HTTP status that says so.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError {
+    /// 413 when the body holds more rows than the per-request cap,
+    /// 400 for every other refusal.
+    pub status: u16,
+    /// What is wrong, and where: a `rows[i][j]` location or a byte
+    /// offset.
+    pub message: String,
+}
+
+impl DecodeError {
+    fn bad(message: impl Into<String>) -> DecodeError {
+        DecodeError {
+            status: 400,
+            message: message.into(),
+        }
+    }
+}
+
+impl From<jsonv::JsonError> for DecodeError {
+    fn from(e: jsonv::JsonError) -> DecodeError {
+        DecodeError::bad(e.to_string())
+    }
+}
+
+impl From<DecodeError> for String {
+    fn from(e: DecodeError) -> String {
+        e.message
+    }
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+/// Decodes and validates a `/score` request body against the model's
+/// feature schema, in one pass from bytes to rows over the
+/// [`jsonv::Reader`] lexer: no intermediate tree, no recursion, and an
+/// error message is formatted only once a body is refused. The body
+/// must be exactly `{"rows": [[n, …], …]}`: one key, one or more rows
+/// of `feature_count` finite numbers each. Refusals are 400s, except
+/// that meeting row `max_rows + 1` stops the decode with a 413 — the
+/// first problem in body order wins. Nothing invalid may pass:
+/// downstream scoring (`Dataset::push`) panics on malformed rows.
 pub fn parse_score_request(
     body: &str,
     feature_count: usize,
     max_rows: usize,
-) -> Result<ScoreRequest, String> {
-    let root = jsonv::parse(body)?;
-    let JsonV::Obj(fields) = &root else {
-        return Err("request must be a JSON object".to_string());
-    };
-    if fields.len() != 1 || fields[0].0 != "rows" {
-        return Err("request must have exactly one key, \"rows\"".to_string());
+) -> Result<ScoreRequest, DecodeError> {
+    const ONE_KEY: &str = "request must have exactly one key, \"rows\"";
+    let mut r = jsonv::Reader::new(body);
+    r.skip_ws();
+    if !r.eat(b'{') {
+        return Err(DecodeError::bad("request must be a JSON object"));
     }
-    let JsonV::Arr(raw_rows) = &fields[0].1 else {
-        return Err("\"rows\" must be an array".to_string());
-    };
-    if raw_rows.is_empty() {
-        return Err("\"rows\" must not be empty".to_string());
+    r.skip_ws();
+    if r.peek() != Some(b'"') || r.string()? != "rows" {
+        return Err(DecodeError::bad(ONE_KEY));
     }
-    if raw_rows.len() > max_rows {
-        return Err(format!(
-            "{} rows exceed the per-request limit of {max_rows}",
-            raw_rows.len()
-        ));
+    r.skip_ws();
+    r.expect(b':')?;
+    r.skip_ws();
+    if !r.eat(b'[') {
+        return Err(DecodeError::bad("\"rows\" must be an array"));
     }
-    let mut rows = Vec::with_capacity(raw_rows.len());
-    for (i, raw) in raw_rows.iter().enumerate() {
-        let JsonV::Arr(values) = raw else {
-            return Err(format!("rows[{i}] must be an array"));
-        };
-        if values.len() != feature_count {
-            return Err(format!(
-                "rows[{i}] has {} features, the model expects {feature_count}",
-                values.len()
-            ));
+    r.skip_ws();
+    if r.peek() == Some(b']') {
+        return Err(DecodeError::bad("\"rows\" must not be empty"));
+    }
+    let mut rows = Vec::new();
+    loop {
+        if rows.len() == max_rows && r.peek() == Some(b'[') {
+            return Err(DecodeError {
+                status: 413,
+                message: format!("more rows than the per-request limit of {max_rows}"),
+            });
         }
-        let mut row = Vec::with_capacity(values.len());
-        for (j, value) in values.iter().enumerate() {
-            let v = number(value, &format!("rows[{i}][{j}]"))?;
+        rows.push(parse_row(&mut r, rows.len(), feature_count)?);
+        if !r.next_item(b']')? {
+            break;
+        }
+    }
+    if r.next_item(b'}')? {
+        return Err(DecodeError::bad(ONE_KEY));
+    }
+    r.end()?;
+    Ok(ScoreRequest { rows })
+}
+
+/// Decodes row `i`, `[n, …]`, at the reader's position.
+fn parse_row(
+    r: &mut jsonv::Reader<'_>,
+    i: usize,
+    feature_count: usize,
+) -> Result<Vec<f64>, DecodeError> {
+    if !r.eat(b'[') {
+        return Err(DecodeError::bad(format!("rows[{i}] must be an array")));
+    }
+    let mut row = Vec::with_capacity(feature_count);
+    r.skip_ws();
+    if !r.eat(b']') {
+        loop {
+            let j = row.len();
+            if j == feature_count {
+                return Err(DecodeError::bad(format!(
+                    "rows[{i}] has more than {feature_count} features, the model expects \
+                     {feature_count}"
+                )));
+            }
+            if !matches!(r.peek(), Some(b'-' | b'0'..=b'9')) {
+                return Err(DecodeError::bad(format!("rows[{i}][{j}] must be a number")));
+            }
+            let v = match r.number()? {
+                JsonV::UInt(u) => u as f64,
+                JsonV::Float(f) => f,
+                _ => unreachable!("Reader::number yields numbers"),
+            };
             if !v.is_finite() {
-                return Err(format!("rows[{i}][{j}] is not finite"));
+                return Err(DecodeError::bad(format!("rows[{i}][{j}] is not finite")));
             }
             row.push(v);
+            if !r.next_item(b']')? {
+                break;
+            }
         }
-        rows.push(row);
     }
-    Ok(ScoreRequest { rows })
+    if row.len() != feature_count {
+        return Err(DecodeError::bad(format!(
+            "rows[{i}] has {} features, the model expects {feature_count}",
+            row.len()
+        )));
+    }
+    Ok(row)
 }
 
 /// Renders a `/score` request body (the loadgen client side).
@@ -276,9 +362,24 @@ mod tests {
         assert!(parse_score_request("{\"rows\": [[1.0]]}", 2, 16).is_err());
         // Non-finite feature.
         assert!(parse_score_request("{\"rows\": [[1.0, null]]}", 2, 16).is_err());
-        // Row cap.
+        // Every refusal above is a 400 ...
+        for body in [
+            "nonsense",
+            "{\"rows\": [[1.0, true]]}",
+            "{\"rows\": [[1.0, 2.0]] x",
+        ] {
+            let e = parse_score_request(body, 2, 16).unwrap_err();
+            assert_eq!(e.status, 400, "{body}: {e}");
+        }
+        // ... except the row cap, a 413 that names where it stopped.
         let body = render_score_request(&vec![vec![0.0, 0.0]; 17]);
-        assert!(parse_score_request(&body, 2, 16).is_err());
+        let e = parse_score_request(&body, 2, 16).unwrap_err();
+        assert_eq!(e.status, 413, "{e}");
+        assert!(e.message.contains("per-request limit of 16"), "{e}");
+        assert!(parse_score_request(&body, 2, 17).is_ok());
+        // The location of a bad value stays in the message.
+        let e = parse_score_request("{\"rows\": [[1.0, 2.0], [3.0, 1e400]]}", 2, 16).unwrap_err();
+        assert_eq!(e.message, "rows[1][1] is not finite");
     }
 
     #[test]

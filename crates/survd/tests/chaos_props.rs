@@ -15,9 +15,17 @@
 //!    of (seed, ordinal): replaying a seed reproduces the decision
 //!    stream bit-for-bit, rate 0 never fires, rate 1 always fires,
 //!    and the injected class frequency tracks the configured rate.
+//! 4. **No panic in the body parsers** — arbitrary bytes, and valid
+//!    `/score` and model bodies corrupted the same ways (truncation,
+//!    garbage splices, byte flips, deep nesting), fed to
+//!    `wire::parse_score_request`, `jsonv::parse` and
+//!    `SavedModel::parse` yield typed errors, never a panic.
 
+use obs::jsonv::{self, JsonError};
 use proptest::prelude::*;
+use serve::{ModelError, SavedModel};
 use std::io::Cursor;
+use std::sync::OnceLock;
 use survd::chaos::{garbage_bytes, ChaosClass, ChaosPlan};
 use survd::http::{read_request, HttpLimits, ReadError};
 
@@ -59,6 +67,65 @@ fn valid_request(rows: &[Vec<f64>]) -> Vec<u8> {
         body.len()
     )
     .into_bytes()
+}
+
+/// A small saved model's canonical text, built once.
+fn model_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let mut data = forest::Dataset::new(vec!["x0".into(), "x1".into(), "x2".into()], 2);
+        for i in 0..60 {
+            let x0 = i as f64 / 60.0;
+            let x1 = ((i * 7) % 11) as f64 / 11.0;
+            data.push(vec![x0, x1, 0.5], (x0 + x1 > 0.9) as usize);
+        }
+        let params = forest::RandomForestParams {
+            n_trees: 3,
+            ..forest::RandomForestParams::default()
+        };
+        let forest = forest::RandomForest::fit(&data, &params, 5);
+        let meta = serve::ModelMeta {
+            positive_fraction: data.class_fraction(1),
+            seed: 5,
+            params,
+            grid: None,
+        };
+        SavedModel::new(forest, meta).render()
+    })
+}
+
+/// Feeds one body through every body parser and checks the typed
+/// contract: a `/score` refusal is a 400 or 413 with a message, a JSON
+/// refusal is a `JsonError`, and a model refusal is a parse, schema or
+/// validation error. Returns whether the model parser accepted it.
+fn feed_body(text: &str) -> bool {
+    match survd::parse_score_request(text, 3, 4) {
+        Ok(request) => {
+            assert!((1..=4).contains(&request.rows.len()));
+            assert!(request.rows.iter().flatten().all(|v| v.is_finite()));
+        }
+        Err(e) => {
+            assert!(matches!(e.status, 400 | 413), "untyped status {}", e.status);
+            assert!(!e.message.is_empty(), "refusal without a message");
+        }
+    }
+    let mut reader = jsonv::Reader::new(text);
+    reader.skip_ws();
+    match reader.value().and_then(|v| reader.end().map(|()| v)) {
+        Ok(v) => assert_eq!(jsonv::parse(text), Ok(v)),
+        Err(JsonError::Syntax { pos, message }) => {
+            assert!(pos <= text.len() && !message.is_empty());
+        }
+        Err(JsonError::TooDeep { pos }) => assert!(pos < text.len()),
+    }
+    match SavedModel::parse(text) {
+        Ok(_) => true,
+        Err(ModelError::Parse(m) | ModelError::Schema(m) | ModelError::Invalid(m)) => {
+            assert!(!m.is_empty(), "model refusal without a message");
+            false
+        }
+        Err(ModelError::Io(e)) => panic!("parsing text reported i/o: {e}"),
+    }
 }
 
 proptest! {
@@ -156,5 +223,45 @@ proptest! {
         // the clean plan never fires regardless of seed.
         let clean = ChaosPlan::none(seed ^ 0xDEAD_BEEF);
         prop_assert!((0..256).all(|o| clean.action(o).is_none()));
+    }
+
+    /// Property 4: the body parsers refuse arbitrary and corrupted
+    /// bodies with typed errors, never a panic.
+    #[test]
+    fn corrupted_bodies_never_panic_the_parsers(
+        bytes in proptest::collection::vec(any::<u8>(), 0..2048),
+        seed in any::<u64>(),
+        cut in any::<usize>(),
+        garbage_len in 1usize..128,
+        depth in 1usize..20_000,
+    ) {
+        feed_body(&String::from_utf8_lossy(&bytes));
+
+        let score = survd::render_score_request(&[vec![0.25, -1.5, 3.0], vec![0.0, 1e-9, 7.0]]);
+        let model = model_text();
+        prop_assert!(feed_body(model), "the clean model parses");
+        for clean in [score.as_str(), model] {
+            let at = cut % (clean.len() + 1);
+            let at = (0..=at).rev().find(|&i| clean.is_char_boundary(i)).unwrap_or(0);
+            // Truncation, garbage spliced in, and a byte flip.
+            feed_body(&clean[..at]);
+            let mut spliced = clean.as_bytes().to_vec();
+            spliced.splice(at..at, garbage_bytes(seed, at as u64, garbage_len));
+            feed_body(&String::from_utf8_lossy(&spliced));
+            let mut flipped = clean.as_bytes().to_vec();
+            if let Some(b) = flipped.get_mut(at) {
+                *b ^= 1 << (seed % 8);
+            }
+            feed_body(&String::from_utf8_lossy(&flipped));
+            // Deep nesting in place of the body's first value.
+            let colon = clean.find(':').expect("bodies are objects");
+            let deep = format!(
+                "{}{}{}",
+                &clean[..=colon],
+                "[".repeat(depth),
+                &clean[colon + 1..]
+            );
+            prop_assert!(!feed_body(&deep), "a deepened model must be refused");
+        }
     }
 }

@@ -534,3 +534,42 @@ fn protocol_errors_are_refused_cleanly() {
     assert_eq!(stats.bad_requests, 4, "400 x2, 413, 405");
     assert_eq!(stats.not_found, 1);
 }
+
+#[test]
+fn deeply_nested_bodies_are_refused_and_the_daemon_stays_up() {
+    let _guard = serialized();
+    let (model, corpus) = fixture();
+    let handle = survd::start(model.clone(), ServerConfig::default(), None).expect("start daemon");
+    let mut client = connect(handle.addr());
+
+    // 20,000 levels, 40 KB: far past the parser's depth limit, and deep
+    // enough to overflow a worker's stack under unbounded recursion.
+    let deep = format!("{{\"rows\": {}{}}}", "[".repeat(20_000), "]".repeat(20_000));
+    let score = client.score(&deep).expect("deep /score");
+    assert_eq!(score.status, 400, "{:?}", score.text());
+    let reload = client
+        .request("POST", "/reload", deep.as_bytes())
+        .expect("deep /reload");
+    assert_eq!(reload.status, 422, "{:?}", reload.text());
+
+    let health = client.request("GET", "/healthz", b"").expect("healthz");
+    assert_eq!(health.status, 200);
+
+    // The next valid request is answered byte-for-byte as offline
+    // scoring renders it, by the generation that was never swapped.
+    let rows = corpus[..3].to_vec();
+    let offline = serve::score_rows(&model.forest, &rows, model.meta.positive_fraction);
+    let want: Vec<RowScore> = offline.rows.iter().map(RowScore::from_scored).collect();
+    let good = client
+        .score(&survd::render_score_request(&rows))
+        .expect("valid /score");
+    assert_eq!(good.status, 200);
+    assert_eq!(
+        good.body,
+        survd::render_score_response(1, model.threshold(), &want).into_bytes()
+    );
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.score_ok, 1);
+    assert_eq!(stats.reloads_rejected, 1);
+}
