@@ -118,6 +118,63 @@ pub(crate) fn event_rank(e: &TelemetryEvent) -> u8 {
     }
 }
 
+/// Appends one database's events in emission order: creation, SLO
+/// changes, size samples, utilization samples, drop.
+fn push_database_events(db: &DatabaseRecord, events: &mut Vec<(Timestamp, TelemetryEvent)>) {
+    events.push((
+        db.created_at,
+        TelemetryEvent::Created {
+            db_id: db.id,
+            subscription: db.subscription_id,
+            subscription_type: db.subscription_type,
+            region: db.region,
+            server_name: db.server_name.clone(),
+            database_name: db.database_name.clone(),
+            edition: db.creation_edition(),
+            slo: db.creation_slo().name,
+            elastic_pool: db.elastic_pool,
+            is_internal: db.is_internal,
+        },
+    ));
+    let mut prev_edition = db.creation_edition();
+    for change in &db.slo_history[1..] {
+        let edition = change.edition();
+        events.push((
+            change.at,
+            TelemetryEvent::SloChanged {
+                db_id: db.id,
+                slo: crate::catalog::SloCatalog::get(change.slo_index).name,
+                edition_changed: edition != prev_edition,
+            },
+        ));
+        prev_edition = edition;
+    }
+    // Every trace sample is emitted (including the offset-0 report) so
+    // the stream fully determines the record — the ingestion module
+    // reconstructs records from streams and round-trips.
+    for &(offset, size_mb) in db.size_trace.samples() {
+        events.push((
+            db.created_at + offset,
+            TelemetryEvent::SizeSample {
+                db_id: db.id,
+                size_mb,
+            },
+        ));
+    }
+    for &(offset, dtu_percent) in db.utilization_trace.samples() {
+        events.push((
+            db.created_at + offset,
+            TelemetryEvent::UtilizationSample {
+                db_id: db.id,
+                dtu_percent,
+            },
+        ));
+    }
+    if let Some(at) = db.dropped_at {
+        events.push((at, TelemetryEvent::Dropped { db_id: db.id }));
+    }
+}
+
 /// A time-ordered telemetry stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventStream {
@@ -125,61 +182,11 @@ pub struct EventStream {
 }
 
 impl EventStream {
-    /// Builds the stream for one database.
+    /// Builds the stream for one database, in canonical `(time, rank)`
+    /// order (stable over emission order).
     pub fn of_database(db: &DatabaseRecord) -> EventStream {
         let mut events: Vec<(Timestamp, TelemetryEvent)> = Vec::new();
-        events.push((
-            db.created_at,
-            TelemetryEvent::Created {
-                db_id: db.id,
-                subscription: db.subscription_id,
-                subscription_type: db.subscription_type,
-                region: db.region,
-                server_name: db.server_name.clone(),
-                database_name: db.database_name.clone(),
-                edition: db.creation_edition(),
-                slo: db.creation_slo().name,
-                elastic_pool: db.elastic_pool,
-                is_internal: db.is_internal,
-            },
-        ));
-        let mut prev_edition = db.creation_edition();
-        for change in &db.slo_history[1..] {
-            let edition = change.edition();
-            events.push((
-                change.at,
-                TelemetryEvent::SloChanged {
-                    db_id: db.id,
-                    slo: crate::catalog::SloCatalog::get(change.slo_index).name,
-                    edition_changed: edition != prev_edition,
-                },
-            ));
-            prev_edition = edition;
-        }
-        // Every trace sample is emitted (including the offset-0 report)
-        // so the stream fully determines the record — the ingestion
-        // module reconstructs records from streams and round-trips.
-        for &(offset, size_mb) in db.size_trace.samples() {
-            events.push((
-                db.created_at + offset,
-                TelemetryEvent::SizeSample {
-                    db_id: db.id,
-                    size_mb,
-                },
-            ));
-        }
-        for &(offset, dtu_percent) in db.utilization_trace.samples() {
-            events.push((
-                db.created_at + offset,
-                TelemetryEvent::UtilizationSample {
-                    db_id: db.id,
-                    dtu_percent,
-                },
-            ));
-        }
-        if let Some(at) = db.dropped_at {
-            events.push((at, TelemetryEvent::Dropped { db_id: db.id }));
-        }
+        push_database_events(db, &mut events);
         events.sort_by(|a, b| {
             a.0.cmp(&b.0)
                 .then_with(|| event_rank(&a.1).cmp(&event_rank(&b.1)))
@@ -187,17 +194,41 @@ impl EventStream {
         EventStream { events }
     }
 
-    /// Builds the merged stream of a set of databases, time-ordered
-    /// (stable over the per-database streams). This is the
-    /// per-subscription unit of the streaming pipeline: both the
-    /// streamed and the materialized paths build subscription streams
-    /// with it, so fault injection sees identical input either way.
+    /// Builds the merged stream of a set of databases: each
+    /// [`EventStream::of_database`] stream, concatenated in slice order,
+    /// then stable-sorted by time. This is the per-subscription unit of
+    /// the streaming pipeline: both the streamed and the materialized
+    /// paths build subscription streams with it, so fault injection sees
+    /// identical input either way.
+    ///
+    /// Built with one sort: every database's events are emitted unsorted
+    /// into one buffer, ordered by the key `(time, position of the
+    /// database in the slice, rank, emission index)`. Within a database
+    /// that is the `of_database` order; across databases equal times
+    /// fall back to slice position, as the stable concatenate-then-sort
+    /// definition does.
     pub fn of_databases(databases: &[DatabaseRecord]) -> EventStream {
-        let mut events: Vec<(Timestamp, TelemetryEvent)> = Vec::new();
-        for db in databases {
-            events.extend(EventStream::of_database(db).events);
+        let mut emitted: Vec<(Timestamp, TelemetryEvent)> = Vec::new();
+        let mut keys: Vec<(Timestamp, usize, u8, usize)> = Vec::new();
+        for (position, db) in databases.iter().enumerate() {
+            let start = emitted.len();
+            push_database_events(db, &mut emitted);
+            keys.extend(
+                emitted[start..]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, (at, event))| (*at, position, event_rank(event), start + k)),
+            );
         }
-        events.sort_by_key(|(t, _)| *t);
+        // The emission index makes every key unique, so the unstable
+        // sort is deterministic.
+        keys.sort_unstable();
+        let mut slots: Vec<Option<(Timestamp, TelemetryEvent)>> =
+            emitted.into_iter().map(Some).collect();
+        let events = keys
+            .iter()
+            .map(|&(_, _, _, i)| slots[i].take().expect("each index once"))
+            .collect();
         EventStream { events }
     }
 

@@ -15,7 +15,6 @@
 //! environment.
 
 use crate::events::{EventStream, TelemetryEvent};
-use std::collections::BTreeMap;
 
 /// SLO names guaranteed to be absent from [`crate::catalog::SLOS`],
 /// substituted by the label-corruption fault.
@@ -251,6 +250,40 @@ const SALT_CORRUPT: u64 = 0xC0DE;
 const SALT_CORRUPT_PICK: u64 = 0xC0DF;
 const SALT_ORPHAN: u64 = 0x0F0A;
 
+/// One database's injection state within a stream.
+struct DbFaults {
+    db_id: u64,
+    /// Ordinal of the database's next event.
+    ordinal: u64,
+    /// The database loses its `Created` event.
+    orphaned: bool,
+    /// Events from this ordinal on are truncated away.
+    cut: Option<u64>,
+}
+
+impl DbFaults {
+    /// The lifecycle-level choices for a database with `total` events.
+    fn new(plan: &FaultPlan, db_id: u64, total: u64) -> DbFaults {
+        let orphaned = plan.orphan > 0.0 && unit(plan.seed, db_id, 0, SALT_ORPHAN) < plan.orphan;
+        let truncated = plan.truncate > 0.0
+            && total > 1
+            && unit(plan.seed, db_id, 0, SALT_TRUNCATE) < plan.truncate;
+        // Cut somewhere in the middle 25–75% of the stream so the
+        // creation survives but the tail (often including the drop
+        // event) is lost.
+        let cut = truncated.then(|| {
+            let f = 0.25 + 0.5 * unit(plan.seed, db_id, 0, SALT_TRUNCATE_AT);
+            1 + ((total - 1) as f64 * f) as u64
+        });
+        DbFaults {
+            db_id,
+            ordinal: 0,
+            orphaned,
+            cut,
+        }
+    }
+}
+
 impl FaultInjector {
     /// Creates an injector; panics if any plan rate is outside `[0, 1]`.
     pub fn new(plan: FaultPlan) -> FaultInjector {
@@ -274,51 +307,35 @@ impl FaultInjector {
             ..FaultSummary::default()
         };
 
-        // Per-database decisions need per-database event counts first.
-        let mut per_db_total: BTreeMap<u64, u64> = BTreeMap::new();
-        for (_, event) in stream.events() {
-            *per_db_total.entry(event.db_id()).or_insert(0) += 1;
-        }
-
-        // Lifecycle-level choices: orphaned and truncated databases.
-        let mut orphaned: BTreeMap<u64, ()> = BTreeMap::new();
-        let mut truncation_cut: BTreeMap<u64, u64> = BTreeMap::new();
-        for (&db_id, &total) in &per_db_total {
-            if plan.orphan > 0.0 && unit(plan.seed, db_id, 0, SALT_ORPHAN) < plan.orphan {
-                orphaned.insert(db_id, ());
-            }
-            if plan.truncate > 0.0
-                && total > 1
-                && unit(plan.seed, db_id, 0, SALT_TRUNCATE) < plan.truncate
-            {
-                // Cut somewhere in the middle 25–75% of the stream so
-                // the creation survives but the tail (often including
-                // the drop event) is lost.
-                let f = 0.25 + 0.5 * unit(plan.seed, db_id, 0, SALT_TRUNCATE_AT);
-                let cut = 1 + ((total - 1) as f64 * f) as u64;
-                truncation_cut.insert(db_id, cut);
-                summary.truncated_databases += 1;
-            }
-        }
+        // Per-database decisions need per-database event counts first:
+        // one id-sorted entry per database (a subscription stream has
+        // a few dozen), found by binary search.
+        let mut ids: Vec<u64> = stream.events().iter().map(|(_, e)| e.db_id()).collect();
+        ids.sort_unstable();
+        let mut dbs: Vec<DbFaults> = ids
+            .chunk_by(|a, b| a == b)
+            .map(|run| DbFaults::new(plan, run[0], run.len() as u64))
+            .collect();
+        summary.truncated_databases = dbs.iter().filter(|d| d.cut.is_some()).count();
 
         // Event-level pass: drops, truncation, corruption, duplication.
         let mut out: Vec<(simtime::Timestamp, TelemetryEvent)> = Vec::with_capacity(stream.len());
-        let mut ordinal: BTreeMap<u64, u64> = BTreeMap::new();
         for (at, event) in stream.events() {
             let db_id = event.db_id();
-            let n = ordinal.entry(db_id).or_insert(0);
-            let ord = *n;
-            *n += 1;
+            let k = dbs
+                .binary_search_by_key(&db_id, |d| d.db_id)
+                .expect("every database was counted");
+            let db = &mut dbs[k];
+            let ord = db.ordinal;
+            db.ordinal += 1;
 
-            if orphaned.contains_key(&db_id) && matches!(event, TelemetryEvent::Created { .. }) {
+            if db.orphaned && matches!(event, TelemetryEvent::Created { .. }) {
                 summary.orphaned_databases += 1;
                 continue;
             }
-            if let Some(&cut) = truncation_cut.get(&db_id) {
-                if ord >= cut {
-                    summary.truncated_events += 1;
-                    continue;
-                }
+            if db.cut.is_some_and(|cut| ord >= cut) {
+                summary.truncated_events += 1;
+                continue;
             }
             let drop_rate = match event {
                 TelemetryEvent::Created { .. } => plan.drop_created,
@@ -348,13 +365,11 @@ impl FaultInjector {
                 summary.corrupted_slos += 1;
             }
 
-            let duplicate =
-                plan.duplicate > 0.0 && unit(plan.seed, db_id, ord, SALT_DUP) < plan.duplicate;
-            out.push((*at, event.clone()));
-            if duplicate {
+            if plan.duplicate > 0.0 && unit(plan.seed, db_id, ord, SALT_DUP) < plan.duplicate {
                 summary.duplicated_events += 1;
-                out.push((*at, event));
+                out.push((*at, event.clone()));
             }
+            out.push((*at, event));
         }
 
         // Arrival-order scrambling: displace selected events forward by

@@ -126,49 +126,77 @@ fn utilization_value_ok(v: f64) -> bool {
     v.is_finite() && (0.0..=100.0).contains(&v)
 }
 
+/// A database under reconstruction: the record's fields so far, with
+/// the traces still as raw sample lists. The validated [`SizeTrace`]
+/// and [`UtilizationTrace`] are built once, by [`Partial::into_record`].
 #[derive(Debug)]
 struct Partial {
-    record_seed: DatabaseRecord,
+    id: u64,
+    region: crate::region::RegionId,
+    server_name: String,
+    database_name: String,
+    subscription_id: crate::subscription::SubscriptionId,
+    subscription_type: crate::subscription::SubscriptionType,
+    created_at: Timestamp,
+    dropped_at: Option<Timestamp>,
+    slo_history: Vec<SloChange>,
+    elastic_pool: Option<u32>,
+    is_internal: bool,
     sizes: Vec<(simtime::Duration, f64)>,
     utilizations: Vec<(simtime::Duration, f64)>,
 }
 
 impl Partial {
-    #[allow(clippy::too_many_arguments)] // mirrors the Created event's fields
-    fn new(
-        at: Timestamp,
-        db_id: u64,
-        subscription: crate::subscription::SubscriptionId,
-        subscription_type: crate::subscription::SubscriptionType,
-        region: crate::region::RegionId,
-        server_name: &str,
-        database_name: &str,
-        slo_index: usize,
-        elastic_pool: Option<u32>,
-        is_internal: bool,
-    ) -> Partial {
+    /// Starts a database from its `Created` event (any other event
+    /// kind is a caller bug) with creation SLO `slo_index`.
+    fn new(at: Timestamp, created: &TelemetryEvent, slo_index: usize) -> Partial {
+        let TelemetryEvent::Created {
+            db_id,
+            subscription,
+            subscription_type,
+            region,
+            server_name,
+            database_name,
+            elastic_pool,
+            is_internal,
+            ..
+        } = created
+        else {
+            unreachable!("a partial record starts from a Created event");
+        };
         Partial {
-            record_seed: DatabaseRecord {
-                id: db_id,
-                region,
-                server_name: server_name.to_string(),
-                database_name: database_name.to_string(),
-                subscription_id: subscription,
-                subscription_type,
-                created_at: at,
-                dropped_at: None,
-                slo_history: vec![SloChange { at, slo_index }],
-                // Placeholder traces; replaced at finish.
-                size_trace: SizeTrace::new(vec![(simtime::Duration::seconds(0), 0.0)]),
-                utilization_trace: UtilizationTrace::new(vec![(
-                    simtime::Duration::seconds(0),
-                    0.0,
-                )]),
-                elastic_pool,
-                is_internal,
-            },
+            id: *db_id,
+            region: *region,
+            server_name: server_name.clone(),
+            database_name: database_name.clone(),
+            subscription_id: *subscription,
+            subscription_type: *subscription_type,
+            created_at: at,
+            dropped_at: None,
+            slo_history: vec![SloChange { at, slo_index }],
+            elastic_pool: *elastic_pool,
+            is_internal: *is_internal,
             sizes: Vec::new(),
             utilizations: Vec::new(),
+        }
+    }
+
+    /// The finished record. Both sample lists must be non-empty.
+    fn into_record(self) -> DatabaseRecord {
+        DatabaseRecord {
+            id: self.id,
+            region: self.region,
+            server_name: self.server_name,
+            database_name: self.database_name,
+            subscription_id: self.subscription_id,
+            subscription_type: self.subscription_type,
+            created_at: self.created_at,
+            dropped_at: self.dropped_at,
+            slo_history: self.slo_history,
+            size_trace: SizeTrace::new(self.sizes),
+            utilization_trace: UtilizationTrace::new(self.utilizations),
+            elastic_pool: self.elastic_pool,
+            is_internal: self.is_internal,
         }
     }
 }
@@ -184,18 +212,7 @@ pub fn reconstruct_records(stream: &EventStream) -> Result<Vec<DatabaseRecord>, 
 
     for (at, event) in stream.events() {
         match event {
-            TelemetryEvent::Created {
-                db_id,
-                subscription,
-                subscription_type,
-                region,
-                server_name,
-                database_name,
-                edition: _,
-                slo,
-                elastic_pool,
-                is_internal,
-            } => {
+            TelemetryEvent::Created { db_id, slo, .. } => {
                 if partials.contains_key(db_id) {
                     return Err(IngestError::DuplicateCreate { db_id: *db_id });
                 }
@@ -204,21 +221,7 @@ pub fn reconstruct_records(stream: &EventStream) -> Result<Vec<DatabaseRecord>, 
                         db_id: *db_id,
                         name: slo.to_string(),
                     })?;
-                partials.insert(
-                    *db_id,
-                    Partial::new(
-                        *at,
-                        *db_id,
-                        *subscription,
-                        *subscription_type,
-                        *region,
-                        server_name,
-                        database_name,
-                        slo_index,
-                        *elastic_pool,
-                        *is_internal,
-                    ),
-                );
+                partials.insert(*db_id, Partial::new(*at, event, slo_index));
             }
             TelemetryEvent::SloChanged { db_id, slo, .. } => {
                 let partial = partials.get_mut(db_id).ok_or(IngestError::OrphanEvent {
@@ -230,17 +233,14 @@ pub fn reconstruct_records(stream: &EventStream) -> Result<Vec<DatabaseRecord>, 
                         db_id: *db_id,
                         name: slo.to_string(),
                     })?;
-                partial
-                    .record_seed
-                    .slo_history
-                    .push(SloChange { at: *at, slo_index });
+                partial.slo_history.push(SloChange { at: *at, slo_index });
             }
             TelemetryEvent::SizeSample { db_id, size_mb } => {
                 let partial = partials.get_mut(db_id).ok_or(IngestError::OrphanEvent {
                     db_id: *db_id,
                     kind: "size-sample",
                 })?;
-                if partial.record_seed.dropped_at.is_some() {
+                if partial.dropped_at.is_some() {
                     return Err(IngestError::SampleAfterDrop {
                         db_id: *db_id,
                         kind: "size-sample",
@@ -252,7 +252,7 @@ pub fn reconstruct_records(stream: &EventStream) -> Result<Vec<DatabaseRecord>, 
                         kind: "size-sample",
                     });
                 }
-                let offset = *at - partial.record_seed.created_at;
+                let offset = *at - partial.created_at;
                 if let Some(&(last, _)) = partial.sizes.last() {
                     if offset <= last {
                         return Err(IngestError::NonMonotonicSample {
@@ -268,7 +268,7 @@ pub fn reconstruct_records(stream: &EventStream) -> Result<Vec<DatabaseRecord>, 
                     db_id: *db_id,
                     kind: "utilization-sample",
                 })?;
-                if partial.record_seed.dropped_at.is_some() {
+                if partial.dropped_at.is_some() {
                     return Err(IngestError::SampleAfterDrop {
                         db_id: *db_id,
                         kind: "utilization-sample",
@@ -280,7 +280,7 @@ pub fn reconstruct_records(stream: &EventStream) -> Result<Vec<DatabaseRecord>, 
                         kind: "utilization-sample",
                     });
                 }
-                let offset = *at - partial.record_seed.created_at;
+                let offset = *at - partial.created_at;
                 if let Some(&(last, _)) = partial.utilizations.last() {
                     if offset <= last {
                         return Err(IngestError::NonMonotonicSample {
@@ -296,10 +296,10 @@ pub fn reconstruct_records(stream: &EventStream) -> Result<Vec<DatabaseRecord>, 
                     db_id: *db_id,
                     kind: "drop",
                 })?;
-                if partial.record_seed.dropped_at.is_some() {
+                if partial.dropped_at.is_some() {
                     return Err(IngestError::DuplicateDrop { db_id: *db_id });
                 }
-                partial.record_seed.dropped_at = Some(*at);
+                partial.dropped_at = Some(*at);
             }
         }
     }
@@ -310,10 +310,7 @@ pub fn reconstruct_records(stream: &EventStream) -> Result<Vec<DatabaseRecord>, 
         if partial.sizes.is_empty() || partial.utilizations.is_empty() {
             return Err(IngestError::MissingSamples { db_id });
         }
-        let mut record = partial.record_seed;
-        record.size_trace = SizeTrace::new(partial.sizes);
-        record.utilization_trace = UtilizationTrace::new(partial.utilizations);
-        records.push(record);
+        records.push(partial.into_record());
     }
     Ok(records)
 }
@@ -518,11 +515,11 @@ impl IngestReport {
         ]
     }
 
-    /// Accumulates another report's counters into this one and appends
-    /// its quarantined ids. Shard reports merged in shard-index order
-    /// equal the report of ingesting the concatenated stream: shards
-    /// partition the id space into ascending disjoint ranges, so the
-    /// appended quarantine list stays globally sorted.
+    /// Accumulates another report's counters into this one and merges
+    /// its quarantined ids into the ascending id list. Shard reports
+    /// merged in any order equal the report of ingesting the
+    /// concatenated stream: the counters are sums, and the id list is
+    /// re-sorted into its canonical ascending order.
     pub fn merge(&mut self, other: &IngestReport) {
         self.events_total += other.events_total;
         self.events_discarded += other.events_discarded;
@@ -548,10 +545,7 @@ impl IngestReport {
         q.unknown_creation_slo += p.unknown_creation_slo;
         q.missing_samples += p.missing_samples;
         self.quarantined_ids.extend(&other.quarantined_ids);
-        // Keep the id list in canonical ascending order so merging is
-        // shard-visit-order insensitive: each input is sorted and the
-        // inputs' id ranges may interleave arbitrarily.
-        self.quarantined_ids.sort_unstable();
+        self.quarantined_ids.sort();
     }
 }
 
@@ -562,15 +556,22 @@ impl IngestReport {
 /// chunks with [`LenientIngestor::push_chunk`], then call
 /// [`LenientIngestor::finish`] for the records and the report.
 ///
+/// **Locality.** Every piece of fold state — the partial record, the
+/// quarantine and orphan marks, the late-arrival clock — belongs to one
+/// database, and the report is a sum of per-database tallies. So the
+/// result depends only on each database's own arrival order, and
+/// `push_chunk` folds one database at a time: it groups a chunk's
+/// events by database (keeping arrival order inside each group), orders
+/// a group by `(time, rank)` when resorting, and folds it. Restricted to
+/// one database, that is exactly the stable `(time, rank)` sort of the
+/// whole chunk.
+///
 /// **Chunk-boundary contract:** feeding one whole stream as a single
 /// chunk and feeding it split at *database-stream boundaries* (every
 /// event of a database inside one chunk — the streaming pipeline cuts
 /// at subscription boundaries, which implies this) produce bitwise
-/// identical records and reports. That holds because the fold is
-/// per-database local, resorting is a stable per-chunk sort (equal to
-/// the global stable sort restricted to any one database), and late
-/// arrivals are counted against each database's own arrival clock, not
-/// a global one.
+/// identical records and reports, as does any re-interleaving of
+/// different databases' events. `tests/ingest_props.rs` holds both.
 #[derive(Debug)]
 pub struct LenientIngestor {
     policy: RecoveryPolicy,
@@ -604,169 +605,81 @@ impl LenientIngestor {
     /// Folds one arrival-order chunk into the accumulated state.
     pub fn push_chunk(&mut self, stream: &EventStream) {
         let _span = obs::span!("ingest_chunk");
-        let policy = self.policy;
-        self.report.events_total += stream.len();
-
-        let mut events: Vec<(Timestamp, TelemetryEvent)> = stream.events().to_vec();
-        if policy.resort {
-            // Count late arrivals before repairing them: an event is
-            // late when something of the *same database* with a
-            // strictly greater timestamp already arrived. Clean
-            // streams count zero.
-            for (at, event) in &events {
-                match self.arrival_max.get_mut(&event.db_id()) {
-                    Some(max_seen) => {
-                        if *at < *max_seen {
-                            self.report.repairs.resorted_events += 1;
-                        } else {
-                            *max_seen = *at;
-                        }
-                    }
-                    None => {
-                        self.arrival_max.insert(event.db_id(), *at);
-                    }
-                }
-            }
-            events.sort_by(|a, b| {
-                a.0.cmp(&b.0)
-                    .then_with(|| event_rank(&a.1).cmp(&event_rank(&b.1)))
-            });
+        let events = stream.events();
+        self.report.events_total += events.len();
+        // Sorted by `(db_id, arrival index)`, the arrivals of each
+        // database form one run, in arrival order.
+        let mut arrivals: Vec<Arrival> = events
+            .iter()
+            .enumerate()
+            .map(|(index, (at, event))| Arrival {
+                db_id: event.db_id(),
+                index,
+                at: *at,
+                rank: event_rank(event),
+            })
+            .collect();
+        arrivals.sort_unstable_by_key(|a| (a.db_id, a.index));
+        for run in arrivals.chunk_by_mut(|a, b| a.db_id == b.db_id) {
+            self.fold_database(run[0].db_id, events, run);
         }
+    }
 
-        for (at, event) in &events {
-            let db_id = event.db_id();
-            if self.quarantined.contains(&db_id) {
-                self.report.events_discarded += 1;
-                continue;
-            }
-            match event {
-                TelemetryEvent::Created {
-                    db_id,
-                    subscription,
-                    subscription_type,
-                    region,
-                    server_name,
-                    database_name,
-                    edition,
-                    slo,
-                    elastic_pool,
-                    is_internal,
-                } => {
-                    if self.partials.contains_key(db_id) {
-                        self.report.repairs.duplicate_creates += 1;
-                        self.report.events_discarded += 1;
-                        continue;
-                    }
-                    let slo_index = match SloCatalog::index_of(slo) {
-                        Some(i) => i,
-                        None if policy.repair_unknown_creation_slo => {
-                            self.report.repairs.repaired_creation_slos += 1;
-                            SloCatalog::entry_slo(*edition)
-                        }
-                        None => {
-                            self.report.quarantines.unknown_creation_slo += 1;
-                            self.report.events_discarded += 1;
-                            self.quarantined.insert(*db_id);
-                            continue;
-                        }
-                    };
-                    // A database that looked orphaned can be rescued by
-                    // a late (reordered) creation when resorting is off.
-                    self.orphan_dbs.remove(db_id);
-                    self.partials.insert(
-                        *db_id,
-                        Partial::new(
-                            *at,
-                            *db_id,
-                            *subscription,
-                            *subscription_type,
-                            *region,
-                            server_name,
-                            database_name,
-                            slo_index,
-                            *elastic_pool,
-                            *is_internal,
-                        ),
-                    );
-                }
-                TelemetryEvent::SloChanged { db_id, slo, .. } => {
-                    let Some(partial) = self.partials.get_mut(db_id) else {
-                        self.report.quarantines.orphaned_events += 1;
-                        self.report.events_discarded += 1;
-                        self.orphan_dbs.insert(*db_id);
-                        continue;
-                    };
-                    if policy.discard_post_drop && partial.record_seed.dropped_at.is_some() {
-                        self.report.repairs.post_drop_events += 1;
-                        self.report.events_discarded += 1;
-                        continue;
-                    }
-                    let Some(slo_index) = SloCatalog::index_of(slo) else {
-                        self.report.repairs.dropped_unknown_slo_changes += 1;
-                        self.report.events_discarded += 1;
-                        continue;
-                    };
-                    if policy.dedup {
-                        let dup = partial
-                            .record_seed
-                            .slo_history
-                            .last()
-                            .is_some_and(|c| c.at == *at && c.slo_index == slo_index);
-                        if dup {
-                            self.report.repairs.duplicate_events += 1;
-                            self.report.events_discarded += 1;
-                            continue;
-                        }
-                    }
-                    partial
-                        .record_seed
-                        .slo_history
-                        .push(SloChange { at: *at, slo_index });
-                }
-                TelemetryEvent::SizeSample { db_id, size_mb } => {
-                    ingest_sample_lenient(
-                        &mut self.partials,
-                        &mut self.orphan_dbs,
-                        &mut self.report,
-                        &policy,
-                        *at,
-                        *db_id,
-                        *size_mb,
-                        SampleKind::Size,
-                    );
-                }
-                TelemetryEvent::UtilizationSample { db_id, dtu_percent } => {
-                    ingest_sample_lenient(
-                        &mut self.partials,
-                        &mut self.orphan_dbs,
-                        &mut self.report,
-                        &policy,
-                        *at,
-                        *db_id,
-                        *dtu_percent,
-                        SampleKind::Utilization,
-                    );
-                }
-                TelemetryEvent::Dropped { db_id } => {
-                    let Some(partial) = self.partials.get_mut(db_id) else {
-                        self.report.quarantines.orphaned_events += 1;
-                        self.report.events_discarded += 1;
-                        self.orphan_dbs.insert(*db_id);
-                        continue;
-                    };
-                    match partial.record_seed.dropped_at {
-                        Some(existing) => {
-                            self.report.repairs.duplicate_drops += 1;
-                            self.report.events_discarded += 1;
-                            // Earliest drop wins even in arrival order.
-                            if *at < existing {
-                                partial.record_seed.dropped_at = Some(*at);
-                            }
-                        }
-                        None => partial.record_seed.dropped_at = Some(*at),
-                    }
+    /// Folds one database's events of a chunk, given in arrival order.
+    fn fold_database(
+        &mut self,
+        db_id: u64,
+        events: &[(Timestamp, TelemetryEvent)],
+        run: &mut [Arrival],
+    ) {
+        if self.policy.resort {
+            // Count late arrivals before repairing them: an event is
+            // late when something of the same database with a strictly
+            // greater timestamp already arrived. Clean streams count
+            // zero.
+            let max_seen = self.arrival_max.entry(db_id).or_insert(run[0].at);
+            for a in run.iter() {
+                if a.at < *max_seen {
+                    self.report.repairs.resorted_events += 1;
+                } else {
+                    *max_seen = a.at;
                 }
             }
+            // Indices are unique, so this unstable sort is the stable
+            // `(time, rank)` sort.
+            run.sort_unstable_by_key(|a| (a.at, a.rank, a.index));
+        }
+        if self.quarantined.contains(&db_id) {
+            self.report.events_discarded += run.len();
+            return;
+        }
+        let was_orphan = self.orphan_dbs.contains(&db_id);
+        let mut fold = DatabaseFold {
+            policy: self.policy,
+            report: &mut self.report,
+            partial: self.partials.remove(&db_id),
+            orphan: was_orphan,
+            quarantined: false,
+        };
+        for a in run.iter() {
+            fold.event(a.at, &events[a.index].1);
+        }
+        let DatabaseFold {
+            partial,
+            orphan,
+            quarantined,
+            ..
+        } = fold;
+        if let Some(partial) = partial {
+            self.partials.insert(db_id, partial);
+        }
+        if quarantined {
+            self.quarantined.insert(db_id);
+        }
+        if orphan && !was_orphan {
+            self.orphan_dbs.insert(db_id);
+        } else if was_orphan && !orphan {
+            self.orphan_dbs.remove(&db_id);
         }
     }
 
@@ -790,14 +703,9 @@ impl LenientIngestor {
 
         // BTreeMap iteration yields ascending ids — generation order.
         let mut records = Vec::with_capacity(partials.len());
-        for (db_id, partial) in partials {
-            let Partial {
-                mut record_seed,
-                mut sizes,
-                mut utilizations,
-            } = partial;
-            if sizes.is_empty() || utilizations.is_empty() {
-                let both_empty = sizes.is_empty() && utilizations.is_empty();
+        for (db_id, mut partial) in partials {
+            if partial.sizes.is_empty() || partial.utilizations.is_empty() {
+                let both_empty = partial.sizes.is_empty() && partial.utilizations.is_empty();
                 if both_empty || !policy.synthesize_missing_samples {
                     report.quarantines.missing_samples += 1;
                     quarantined_ids.push(db_id);
@@ -806,16 +714,14 @@ impl LenientIngestor {
                 // One trace survived; backfill the other with a neutral
                 // creation-time sample so the record stays usable.
                 let synth = vec![(simtime::Duration::seconds(0), 0.0)];
-                if sizes.is_empty() {
-                    sizes = synth;
+                if partial.sizes.is_empty() {
+                    partial.sizes = synth;
                 } else {
-                    utilizations = synth;
+                    partial.utilizations = synth;
                 }
                 report.repairs.synthesized_creation_samples += 1;
             }
-            record_seed.size_trace = SizeTrace::new(sizes);
-            record_seed.utilization_trace = UtilizationTrace::new(utilizations);
-            records.push(record_seed);
+            records.push(partial.into_record());
         }
         quarantined_ids.sort_unstable();
         quarantined_ids.dedup();
@@ -840,6 +746,191 @@ impl LenientIngestor {
     }
 }
 
+/// One event of a chunk: its database and arrival index, plus its
+/// canonical `(time, rank)` order key.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    db_id: u64,
+    index: usize,
+    at: Timestamp,
+    rank: u8,
+}
+
+/// One database's fold state while [`LenientIngestor`] walks its run of
+/// a chunk: taken out of the ingestor's maps once before the run and
+/// written back once after it.
+struct DatabaseFold<'a> {
+    policy: RecoveryPolicy,
+    report: &'a mut IngestReport,
+    partial: Option<Partial>,
+    /// Seen only through orphan events so far.
+    orphan: bool,
+    /// Quarantined during this run; every later event is discarded.
+    quarantined: bool,
+}
+
+impl DatabaseFold<'_> {
+    /// Counts an event of a database with no `Created` yet.
+    fn orphan_event(&mut self) {
+        self.report.quarantines.orphaned_events += 1;
+        self.report.events_discarded += 1;
+        self.orphan = true;
+    }
+
+    fn event(&mut self, at: Timestamp, event: &TelemetryEvent) {
+        let policy = self.policy;
+        if self.quarantined {
+            self.report.events_discarded += 1;
+            return;
+        }
+        match event {
+            TelemetryEvent::Created { edition, slo, .. } => {
+                if self.partial.is_some() {
+                    self.report.repairs.duplicate_creates += 1;
+                    self.report.events_discarded += 1;
+                    return;
+                }
+                let slo_index = match SloCatalog::index_of(slo) {
+                    Some(i) => i,
+                    None if policy.repair_unknown_creation_slo => {
+                        self.report.repairs.repaired_creation_slos += 1;
+                        SloCatalog::entry_slo(*edition)
+                    }
+                    None => {
+                        self.report.quarantines.unknown_creation_slo += 1;
+                        self.report.events_discarded += 1;
+                        self.quarantined = true;
+                        return;
+                    }
+                };
+                // A database that looked orphaned can be rescued by a
+                // late (reordered) creation when resorting is off.
+                self.orphan = false;
+                self.partial = Some(Partial::new(at, event, slo_index));
+            }
+            TelemetryEvent::SloChanged { slo, .. } => {
+                let Some(partial) = self.partial.as_mut() else {
+                    self.orphan_event();
+                    return;
+                };
+                let report = &mut *self.report;
+                if policy.discard_post_drop && partial.dropped_at.is_some() {
+                    report.repairs.post_drop_events += 1;
+                    report.events_discarded += 1;
+                    return;
+                }
+                let Some(slo_index) = SloCatalog::index_of(slo) else {
+                    report.repairs.dropped_unknown_slo_changes += 1;
+                    report.events_discarded += 1;
+                    return;
+                };
+                if policy.dedup {
+                    let dup = partial
+                        .slo_history
+                        .last()
+                        .is_some_and(|c| c.at == at && c.slo_index == slo_index);
+                    if dup {
+                        report.repairs.duplicate_events += 1;
+                        report.events_discarded += 1;
+                        return;
+                    }
+                }
+                partial.slo_history.push(SloChange { at, slo_index });
+            }
+            TelemetryEvent::SizeSample { size_mb, .. } => {
+                self.sample(at, *size_mb, SampleKind::Size);
+            }
+            TelemetryEvent::UtilizationSample { dtu_percent, .. } => {
+                self.sample(at, *dtu_percent, SampleKind::Utilization);
+            }
+            TelemetryEvent::Dropped { .. } => {
+                let Some(partial) = self.partial.as_mut() else {
+                    self.orphan_event();
+                    return;
+                };
+                match partial.dropped_at {
+                    Some(existing) => {
+                        self.report.repairs.duplicate_drops += 1;
+                        self.report.events_discarded += 1;
+                        // Earliest drop wins even in arrival order.
+                        if at < existing {
+                            partial.dropped_at = Some(at);
+                        }
+                    }
+                    None => partial.dropped_at = Some(at),
+                }
+            }
+        }
+    }
+
+    /// The lenient fold of one sample: orphan and post-drop filtering,
+    /// value clamping, offset dedup / monotonicity.
+    fn sample(&mut self, at: Timestamp, value: f64, kind: SampleKind) {
+        let policy = self.policy;
+        let Some(partial) = self.partial.as_mut() else {
+            self.orphan_event();
+            return;
+        };
+        let report = &mut *self.report;
+        if policy.discard_post_drop && partial.dropped_at.is_some() {
+            report.repairs.post_drop_events += 1;
+            report.events_discarded += 1;
+            return;
+        }
+        if at < partial.created_at {
+            // Pre-creation sample (only reachable when resorting is off
+            // and a reordered sample outran its creation's arrival).
+            report.quarantines.orphaned_events += 1;
+            report.events_discarded += 1;
+            return;
+        }
+        if !value.is_finite() {
+            report.repairs.invalid_samples_discarded += 1;
+            report.events_discarded += 1;
+            return;
+        }
+        let value = {
+            let (ok, clamped) = match kind {
+                SampleKind::Size => (size_value_ok(value), value.max(0.0)),
+                SampleKind::Utilization => (utilization_value_ok(value), value.clamp(0.0, 100.0)),
+            };
+            if ok {
+                value
+            } else if policy.clamp_out_of_range {
+                report.repairs.clamped_samples += 1;
+                clamped
+            } else {
+                report.repairs.invalid_samples_discarded += 1;
+                report.events_discarded += 1;
+                return;
+            }
+        };
+        let trace = match kind {
+            SampleKind::Size => &mut partial.sizes,
+            SampleKind::Utilization => &mut partial.utilizations,
+        };
+        let offset = at - partial.created_at;
+        if let Some(&(last, last_value)) = trace.last() {
+            if offset <= last {
+                if policy.dedup && offset == last && value == last_value {
+                    report.repairs.duplicate_events += 1;
+                } else {
+                    report.repairs.out_of_order_samples += 1;
+                }
+                report.events_discarded += 1;
+                return;
+            }
+        }
+        trace.push((offset, value));
+    }
+}
+
+#[derive(Clone, Copy)]
+enum SampleKind {
+    Size,
+    Utilization,
+}
+
 /// Folds a possibly degraded stream into as many records as can be
 /// recovered under `policy`, quarantining the rest. Never fails: the
 /// worst stream yields `(vec![], report)`.
@@ -856,83 +947,6 @@ pub fn reconstruct_records_lenient(
     let mut ingestor = LenientIngestor::new(*policy);
     ingestor.push_chunk(stream);
     ingestor.finish()
-}
-
-#[derive(Clone, Copy)]
-enum SampleKind {
-    Size,
-    Utilization,
-}
-
-/// Shared lenient-fold logic for the two sample kinds: orphan and
-/// post-drop filtering, value clamping, offset dedup / monotonicity.
-#[allow(clippy::too_many_arguments)]
-fn ingest_sample_lenient(
-    partials: &mut BTreeMap<u64, Partial>,
-    orphan_dbs: &mut BTreeSet<u64>,
-    report: &mut IngestReport,
-    policy: &RecoveryPolicy,
-    at: Timestamp,
-    db_id: u64,
-    value: f64,
-    kind: SampleKind,
-) {
-    let Some(partial) = partials.get_mut(&db_id) else {
-        report.quarantines.orphaned_events += 1;
-        report.events_discarded += 1;
-        orphan_dbs.insert(db_id);
-        return;
-    };
-    if policy.discard_post_drop && partial.record_seed.dropped_at.is_some() {
-        report.repairs.post_drop_events += 1;
-        report.events_discarded += 1;
-        return;
-    }
-    if at < partial.record_seed.created_at {
-        // Pre-creation sample (only reachable when resorting is off
-        // and a reordered sample outran its creation's arrival).
-        report.quarantines.orphaned_events += 1;
-        report.events_discarded += 1;
-        return;
-    }
-    if !value.is_finite() {
-        report.repairs.invalid_samples_discarded += 1;
-        report.events_discarded += 1;
-        return;
-    }
-    let value = {
-        let (ok, clamped) = match kind {
-            SampleKind::Size => (size_value_ok(value), value.max(0.0)),
-            SampleKind::Utilization => (utilization_value_ok(value), value.clamp(0.0, 100.0)),
-        };
-        if ok {
-            value
-        } else if policy.clamp_out_of_range {
-            report.repairs.clamped_samples += 1;
-            clamped
-        } else {
-            report.repairs.invalid_samples_discarded += 1;
-            report.events_discarded += 1;
-            return;
-        }
-    };
-    let trace = match kind {
-        SampleKind::Size => &mut partial.sizes,
-        SampleKind::Utilization => &mut partial.utilizations,
-    };
-    let offset = at - partial.record_seed.created_at;
-    if let Some(&(last, last_value)) = trace.last() {
-        if offset <= last {
-            if policy.dedup && offset == last && value == last_value {
-                report.repairs.duplicate_events += 1;
-            } else {
-                report.repairs.out_of_order_samples += 1;
-            }
-            report.events_discarded += 1;
-            return;
-        }
-    }
-    trace.push((offset, value));
 }
 
 /// Timestamp of the last event in the stream, if any — the natural
@@ -1153,6 +1167,83 @@ mod tests {
         );
         assert_eq!(records, vec![db.clone()]);
         assert!(report.repairs.resorted_events > 0);
+    }
+
+    fn report_with(ids: &[u64], discarded: usize) -> IngestReport {
+        IngestReport {
+            events_discarded: discarded,
+            databases_quarantined: ids.len(),
+            quarantined_ids: ids.to_vec(),
+            ..IngestReport::default()
+        }
+    }
+
+    #[test]
+    fn merge_order_does_not_change_the_report() {
+        // Interleaved and trailing id ranges; an id quarantined in two
+        // reports is kept twice, as a concatenate-and-sort would keep it.
+        let parts = [
+            report_with(&[1, 5, 9], 3),
+            report_with(&[2, 3, 10, 12], 1),
+            report_with(&[], 7),
+            report_with(&[4, 5, 11, 30], 2),
+            report_with(&[31, 40], 0),
+        ];
+        let mut forward = IngestReport::default();
+        for part in &parts {
+            forward.merge(part);
+        }
+        let mut reverse = IngestReport::default();
+        for part in parts.iter().rev() {
+            reverse.merge(part);
+        }
+        assert_eq!(forward, reverse);
+        let mut expected: Vec<u64> = parts
+            .iter()
+            .flat_map(|p| p.quarantined_ids.iter().copied())
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(forward.quarantined_ids, expected);
+        assert_eq!(forward.events_discarded, 13);
+        assert_eq!(forward.databases_quarantined, expected.len());
+    }
+
+    #[test]
+    fn shard_reports_merged_in_reverse_order_match_forward() {
+        use crate::faults::FaultPlan;
+        use crate::stream::{run_shard, ShardPlan};
+        let config = FleetConfig::new(RegionConfig::region_1().scaled(0.02), 5);
+        let plan = ShardPlan::new(config.region.subscription_count, 4);
+        let faults = FaultPlan {
+            orphan: 0.2,
+            drop_size: 0.3,
+            drop_utilization: 0.3,
+            ..FaultPlan::none(5)
+        };
+        let reports: Vec<IngestReport> = (0..plan.shard_count())
+            .map(|shard| {
+                run_shard(
+                    &config,
+                    &plan,
+                    shard,
+                    8,
+                    Some(&faults),
+                    &RecoveryPolicy::default(),
+                )
+                .report
+            })
+            .collect();
+        let mut forward = IngestReport::default();
+        for report in &reports {
+            forward.merge(report);
+        }
+        let mut reverse = IngestReport::default();
+        for report in reports.iter().rev() {
+            reverse.merge(report);
+        }
+        assert!(forward.quarantined_ids.len() > reports.len());
+        assert!(forward.quarantined_ids.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(forward, reverse);
     }
 
     #[test]
